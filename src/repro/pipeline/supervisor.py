@@ -4,8 +4,9 @@ Unlike ``multiprocessing.Pool`` — which offers no per-task timeout and
 degrades badly when a worker dies — this pool is supervised directly:
 
 * each worker is a dedicated :class:`multiprocessing.Process` with its
-  own inbox, so the parent always knows *which* job a worker holds and
-  since when;
+  own inbox and its own result pipe, so the parent always knows *which*
+  job a worker holds and since when, and a worker that dies mid-send
+  can only break its own channel;
 * the parent's event loop dispatches eligible jobs to idle workers,
   collects results, enforces per-job wall-clock deadlines (a hung worker
   is SIGKILLed and its job requeued), detects dead workers (the job is
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from queue import Empty
+from multiprocessing.connection import wait
 
 from ..errors import RetryExhaustedError, StageTimeoutError, WorkerCrashError
 from ..obs import trace as obs
@@ -59,7 +60,7 @@ def _worker_main(
         # (pipeline.job) parents on the supervisor's pipeline.batch span
         obs.set_trace_context(trace_ctx)
         outcome = execute_job(spec, cache, attempt=attempt)
-        results.put((index, attempt, os.getpid(), outcome))
+        results.send((index, attempt, os.getpid(), outcome))
 
 
 class _JobState:
@@ -76,17 +77,22 @@ class _JobState:
 class _Worker:
     """One supervised worker process and its dispatch bookkeeping."""
 
-    __slots__ = ("proc", "inbox", "job_index", "dispatched_at")
+    __slots__ = ("proc", "inbox", "results", "job_index", "dispatched_at")
 
     def __init__(
-        self, ctx, results, cache_dir, obs_enabled, profile_interval=0.0
+        self, ctx, cache_dir, obs_enabled, profile_interval=0.0
     ) -> None:
         self.inbox = ctx.SimpleQueue()
+        # A private, synchronous result channel.  A queue shared by all
+        # workers is written under one cross-process lock (by a feeder
+        # thread, after put() returns): a worker killed while holding it
+        # would wedge every other worker's results.
+        self.results, sender = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
             target=_worker_main,
             args=(
                 self.inbox,
-                results,
+                sender,
                 cache_dir,
                 obs_enabled,
                 profile_interval,
@@ -94,6 +100,8 @@ class _Worker:
             daemon=True,
         )
         self.proc.start()
+        # the worker now holds the only write end: its death reads as EOF
+        sender.close()
         self.job_index: int | None = None
         self.dispatched_at = 0.0
 
@@ -127,14 +135,13 @@ def run_supervised(
     profiler in every worker at that period.
     """
     ctx = _pool_context()
-    results = ctx.Queue()
     obs_enabled = obs.ENABLED
     jobs = {index: _JobState(spec) for index, spec in indexed_specs}
     ready: list[int] = [index for index, _ in indexed_specs]
     waiting: list[tuple[float, int]] = []  # (eligible_at, index) heap
     open_jobs = len(jobs)
     pool = [
-        _Worker(ctx, results, cache_dir, obs_enabled, profile_interval)
+        _Worker(ctx, cache_dir, obs_enabled, profile_interval)
         for _ in range(workers)
     ]
 
@@ -180,7 +187,8 @@ def run_supervised(
         )
 
     def replace(worker: _Worker) -> _Worker:
-        fresh = _Worker(ctx, results, cache_dir, obs_enabled, profile_interval)
+        worker.results.close()
+        fresh = _Worker(ctx, cache_dir, obs_enabled, profile_interval)
         pool[pool.index(worker)] = fresh
         obs.counter_inc(
             "pipeline_worker_respawns_total",
@@ -188,6 +196,17 @@ def run_supervised(
             "replacement workers started after a kill or crash",
         )
         return fresh
+
+    def receive(timeout: float):
+        """The next result any worker sent, or None after ``timeout``."""
+        for conn in wait([w.results for w in pool], timeout):
+            try:
+                return conn.recv()
+            except (EOFError, OSError):
+                # the worker died, perhaps mid-send: the liveness check
+                # requeues its job and replaces it
+                continue
+        return None
 
     try:
         while open_jobs:
@@ -215,11 +234,9 @@ def run_supervised(
                             worker.dispatched_at + policy.timeout_s - now
                         )
                         timeout = min(timeout, max(left, 0.001))
-            try:
-                index, attempt, pid, outcome = results.get(timeout=timeout)
-            except Empty:
-                pass
-            else:
+            message = receive(timeout)
+            if message is not None:
+                index, attempt, pid, outcome = message
                 state = jobs.get(index)
                 worker = next(
                     (w for w in pool if w.proc.pid == pid), None
@@ -328,3 +345,4 @@ def run_supervised(
             worker.proc.join(timeout=2.0)
             if worker.proc.is_alive():
                 worker.kill()
+            worker.results.close()

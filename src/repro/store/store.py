@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,11 @@ class TraceStore:
             )
         self.chunk_bytes = int(manifest.get("chunk_bytes", chunk_bytes))
         self._index: dict[str, TraceRecord] | None = None
+        # Serializes index-load / dedupe / append / index-write, so
+        # threads sharing this instance never claim the same chunk
+        # offset.  Other processes appending to the same directory are
+        # not covered.
+        self._write_lock = threading.Lock()
 
     # -- paths / index ---------------------------------------------------------
 
@@ -178,7 +184,9 @@ class TraceStore:
         records the exact simulator invocation so the pipeline can dedupe
         this trace against a regenerated one; pass ``None`` for external
         traces.  Ingest is idempotent: identical (content, benchmark,
-        dtype, generator) collapses to the existing record.
+        dtype, generator) collapses to the existing record.  Threads
+        sharing this instance may ingest concurrently; processes
+        appending to one directory must not.
         """
         if self.mode != "a":
             raise UsageError(
@@ -206,54 +214,55 @@ class TraceStore:
             )
         sha = content_hash(data)
         trace_id = make_trace_id(sha, benchmark, dtype, generator)
-        index = self._load_index()
-        existing = index.get(trace_id)
-        if existing is not None:
-            obs.counter_inc(
-                "store_ingest_dedups_total",
-                1,
-                "ingests satisfied by an existing identical trace",
-            )
-            return existing
+        with self._write_lock:
+            index = self._load_index()
+            existing = index.get(trace_id)
+            if existing is not None:
+                obs.counter_inc(
+                    "store_ingest_dedups_total",
+                    1,
+                    "ingests satisfied by an existing identical trace",
+                )
+                return existing
 
-        with obs.span(
-            "store.ingest", benchmark=benchmark, nbytes=data.nbytes
-        ):
-            chunk, path = self._append_chunk()
-            size = path.stat().st_size if path.is_file() else 0
-            if size and size + data.nbytes > self.chunk_bytes:
-                chunk += 1
-                path = self.chunk_path(chunk)
-                size = 0
-            record = TraceRecord(
-                trace_id=trace_id,
-                benchmark=benchmark,
-                dtype=dtype,
-                cycles=int(data.size),
-                chunk=chunk,
-                offset=size,
-                nbytes=int(data.nbytes),
-                sha256=sha,
-                generator=dict(generator) if generator else None,
-                meta=dict(meta) if meta else {},
+            with obs.span(
+                "store.ingest", benchmark=benchmark, nbytes=data.nbytes
+            ):
+                chunk, path = self._append_chunk()
+                size = path.stat().st_size if path.is_file() else 0
+                if size and size + data.nbytes > self.chunk_bytes:
+                    chunk += 1
+                    path = self.chunk_path(chunk)
+                    size = 0
+                record = TraceRecord(
+                    trace_id=trace_id,
+                    benchmark=benchmark,
+                    dtype=dtype,
+                    cycles=int(data.size),
+                    chunk=chunk,
+                    offset=size,
+                    nbytes=int(data.nbytes),
+                    sha256=sha,
+                    generator=dict(generator) if generator else None,
+                    meta=dict(meta) if meta else {},
+                )
+                # Data first, index second: a crash here orphans bytes that
+                # gc() reclaims, but never indexes a trace with no bytes.
+                with open(path, "ab") as fh:
+                    fh.write(data.tobytes())
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                with open(self.index_path, "a", encoding="utf-8") as fh:
+                    fh.write(record.to_json() + "\n")
+                    fh.flush()
+            index[trace_id] = record
+            obs.counter_inc("store_ingests_total", 1, "traces ingested")
+            obs.counter_inc(
+                "store_ingested_bytes_total",
+                data.nbytes,
+                "sample bytes appended to chunk files",
             )
-            # Data first, index second: a crash here orphans bytes that
-            # gc() reclaims, but never indexes a trace with no bytes.
-            with open(path, "ab") as fh:
-                fh.write(data.tobytes())
-                fh.flush()
-                os.fsync(fh.fileno())
-            with open(self.index_path, "a", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
-                fh.flush()
-        index[trace_id] = record
-        obs.counter_inc("store_ingests_total", 1, "traces ingested")
-        obs.counter_inc(
-            "store_ingested_bytes_total",
-            data.nbytes,
-            "sample bytes appended to chunk files",
-        )
-        return record
+            return record
 
     def remove(self, trace_id: str) -> None:
         """Tombstone a trace (bytes are reclaimed by the next ``gc``)."""
@@ -261,9 +270,10 @@ class TraceStore:
             raise UsageError(f"store {self.root} is opened read-only")
         self.get(trace_id)  # raise on unknown id
         line = json.dumps({"op": "remove", "trace_id": trace_id})
-        with open(self.index_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-        self._load_index()
+        with self._write_lock:
+            with open(self.index_path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+            self._load_index()
 
     # -- attach (the zero-copy read path) --------------------------------------
 

@@ -9,6 +9,7 @@ service level to correlate voltage behaviour with L2 misses (§4.3).
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import Sequence
 
 from .config import CacheConfig, ProcessorConfig
 
@@ -58,6 +59,55 @@ class Cache:
         self.hits += 1
         return True
 
+    def install(self, ranges: Sequence[range]) -> None:
+        """Fill an empty cache as touching every address of ``ranges`` would.
+
+        The addresses are touched in order, range after range.  An LRU set
+        ends up holding its ``ways`` most recently touched distinct lines,
+        most recent first, so walking the ranges backwards and keeping the
+        first ``ways`` distinct lines per set yields the final state
+        without simulating a single access; the walk stops once every set
+        is full.  Hit and miss counters are left alone.
+        """
+        sets = self._sets
+        if any(sets):
+            raise ValueError(f"{self.name}: install needs an empty cache")
+        ways = self.config.ways
+        mask = self._set_mask
+        unfilled = len(sets)
+        for addrs in reversed(ranges):
+            for line in reversed(self._lines(addrs)):
+                tags = sets[line & mask]
+                if len(tags) < ways and line not in tags:
+                    tags.append(line)
+                    if len(tags) == ways:
+                        unfilled -= 1
+                        if not unfilled:
+                            return
+
+    def _lines(self, addrs: range) -> range:
+        """The distinct lines an ascending address range touches, in order."""
+        if not addrs:
+            return range(0)
+        line_bytes = self.config.line_bytes
+        step = addrs.step
+        if step < 0 or (step % line_bytes and line_bytes % step):
+            raise ValueError(
+                f"{self.name}: address ranges must ascend in a step that "
+                f"divides or is a multiple of the {line_bytes}-byte line, "
+                f"not {step}"
+            )
+        return range(
+            addrs.start >> self._offset_bits,
+            (addrs[-1] >> self._offset_bits) + 1,
+            max(1, addrs.step >> self._offset_bits),
+        )
+
+    @property
+    def untouched(self) -> bool:
+        """True until the first access (or install) reaches this cache."""
+        return not (self.hits or self.misses or any(self._sets))
+
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU or counters."""
         idx, tag = self._locate(addr)
@@ -89,6 +139,28 @@ class CacheHierarchy:
         self.l2 = Cache(config.l2, "L2")
         self.memory_accesses = 0
         self.prefetches = 0
+
+    def prewarm(self, data: Sequence[range], code: Sequence[range]) -> None:
+        """Install the state left by touching ``data``, then ``code``.
+
+        Equivalent to one :meth:`access_data` per address of ``data``
+        followed by one :meth:`access_instruction` per address of
+        ``code``, then zeroing every counter — but computed in closed
+        form by :meth:`Cache.install`.  Ranges must be ascending and must
+        not share L1 lines with each other, so the first touch of every
+        L1 line misses and the L2 sees exactly those first touches.  Only
+        a fresh hierarchy can be prewarmed: on a used one the L1 misses
+        would depend on what is already resident.
+        """
+        caches = (self.l1i, self.l1d, self.l2)
+        if self.memory_accesses or not all(c.untouched for c in caches):
+            raise ValueError("prewarm needs a fresh, never-accessed hierarchy")
+        l2_touches = _first_touches(
+            data, self.config.l1d.line_bytes
+        ) + _first_touches(code, self.config.l1i.line_bytes)
+        self.l1d.install(data)
+        self.l1i.install(code)
+        self.l2.install(l2_touches)
 
     def _through_l2(self, addr: int, l1_latency: int) -> tuple[int, ServiceLevel]:
         if self.l2.access(addr):
@@ -125,3 +197,28 @@ class CacheHierarchy:
         if self.l1d.access(addr):
             return self.config.l1d.latency, ServiceLevel.L1
         return self._through_l2(addr, self.config.l1d.latency)
+
+
+def _first_touches(ranges: Sequence[range], line_bytes: int) -> list[range]:
+    """The addresses of ``ranges`` that touch a line for the first time.
+
+    These are the L1 misses of a walk over disjoint ascending ranges, and
+    so the accesses the L2 sees.  A range whose step is a multiple of the
+    line touches a new line every address; a finer step touches a new
+    line at its first address and at the first address past each line
+    boundary after it.
+    """
+    spans = sorted((r.start, r[-1]) for r in ranges if r)
+    for (_, last), (start, _) in zip(spans, spans[1:]):
+        if start // line_bytes <= last // line_bytes:
+            raise ValueError("prewarm ranges must not share cache lines")
+    out: list[range] = []
+    for r in ranges:
+        if not r or r.step % line_bytes == 0:
+            out.append(r)
+            continue
+        boundary = (r.start // line_bytes + 1) * line_bytes
+        following = r.start + -(-(boundary - r.start) // r.step) * r.step
+        out.append(range(r.start, r.start + 1))
+        out.append(range(following, r.stop, line_bytes))
+    return out

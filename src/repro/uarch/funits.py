@@ -27,15 +27,25 @@ class FunctionalUnitPool:
         self.count = count
         self.pipelined = pipelined
         self._issued_this_cycle = 0
+        # The cycle the limiter counts for: a try_issue in a later cycle
+        # resets it, so the pipeline needs no per-cycle call per pool.
+        self._cycle = -1
         self._busy_until: list[int] = [0] * count
         self.total_ops = 0
 
     def begin_cycle(self) -> None:
-        """Reset the per-cycle issue limiter."""
+        """Reset the per-cycle issue limiter.
+
+        Optional: the first :meth:`try_issue` of a new cycle number
+        resets it as well.
+        """
         self._issued_this_cycle = 0
 
     def try_issue(self, cycle: int, latency: int) -> bool:
         """Claim a unit for an operation starting this cycle."""
+        if cycle != self._cycle:
+            self._cycle = cycle
+            self._issued_this_cycle = 0
         if self._issued_this_cycle >= self.count:
             return False
         if not self.pipelined:
@@ -72,6 +82,11 @@ class FunctionalUnits:
             OpClass.BRANCH: OpClass.IALU,
             OpClass.NOP: OpClass.IALU,
         }
+        # op -> (pool, latency), resolved once for the per-cycle issue path
+        self._routes = {
+            op: (self.pool_for(op), self.latency_of(op))
+            for op in FU_LATENCY_FIELD
+        }
 
     def pool_for(self, op: OpClass) -> FunctionalUnitPool:
         """The pool an op class executes on (loads/stores use the LSQ)."""
@@ -86,13 +101,13 @@ class FunctionalUnits:
         return getattr(self.config, FU_LATENCY_FIELD[op])
 
     def begin_cycle(self) -> None:
-        """Advance all pools to a new cycle."""
+        """Reset every pool's issue limiter (optional, as for a pool)."""
         for pool in self._pools.values():
             pool.begin_cycle()
 
     def try_issue(self, op: OpClass, cycle: int) -> int | None:
         """Try to start ``op`` this cycle; returns its latency or None."""
-        latency = self.latency_of(op)
-        if self.pool_for(op).try_issue(cycle, latency):
+        pool, latency = self._routes[op]
+        if pool.try_issue(cycle, latency):
             return latency
         return None

@@ -32,6 +32,7 @@ class OpClass(IntEnum):
 
 
 MEM_OPS = (OpClass.LOAD, OpClass.STORE)
+_BRANCH = OpClass.BRANCH  # bound once: Enum attribute lookups are slow
 
 #: ProcessorConfig attribute holding each class's execution latency.
 FU_LATENCY_FIELD = {
@@ -75,6 +76,8 @@ class Instruction:
         "taken",
         "is_call",
         "is_return",
+        "is_mem",
+        "is_branch",
     )
 
     def __init__(
@@ -98,16 +101,11 @@ class Instruction:
         self.taken = taken
         self.is_call = is_call
         self.is_return = is_return
-
-    @property
-    def is_mem(self) -> bool:
-        """Does the instruction occupy an LSQ slot?"""
-        return self.op in MEM_OPS
-
-    @property
-    def is_branch(self) -> bool:
-        """Does the instruction consult the branch predictor?"""
-        return self.op is OpClass.BRANCH
+        # Derived once here, read every cycle by the pipeline.
+        #: Does the instruction occupy an LSQ slot?
+        self.is_mem = op in MEM_OPS
+        #: Does the instruction consult the branch predictor?
+        self.is_branch = op is _BRANCH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,6 +28,14 @@ from .power_model import ActivityCounters, WattchPowerModel
 
 __all__ = ["Pipeline"]
 
+# Enum members bound once: on the per-cycle path an Enum class-attribute
+# lookup costs several times the comparison it feeds.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_FPALU = OpClass.FPALU
+_INT_ALU_OPS = (OpClass.IALU, OpClass.BRANCH, OpClass.NOP)
+_INT_MULT_OPS = (OpClass.IMULT, OpClass.IDIV)
+
 
 class _Entry:
     """An RUU slot: one in-flight instruction and its dataflow state."""
@@ -113,11 +121,10 @@ class Pipeline:
 
     def tick(self) -> float:
         """Advance one cycle; returns the cycle's current draw in amperes."""
-        self.activity.reset()
-        self.funits.begin_cycle()
-        ports_left = self.config.memory_ports
-
-        ports_left = self._commit(ports_left)
+        activity = self.activity
+        activity.reset()
+        # The functional-unit limiters reset themselves on the new cycle.
+        ports_left = self._commit(self.config.memory_ports)
         self._writeback()
         if self.stall_issue:
             self.stats.stall_cycles += 1
@@ -127,12 +134,12 @@ class Pipeline:
         self._fetch()
 
         if self.inject_noops:
-            self.activity.injected_noops = self.inject_noops
+            activity.injected_noops = self.inject_noops
             self.stats.noops_injected += self.inject_noops
 
-        current = self.power.current(self.activity)
+        current = self.power.current(activity)
         if self._track_breakdown:
-            for name, amps in self.power.unit_currents(self.activity).items():
+            for name, amps in self.power.unit_currents(activity).items():
                 self._unit_energy[name] = (
                     self._unit_energy.get(name, 0.0) + amps
                 )
@@ -167,27 +174,31 @@ class Pipeline:
     # -- pipeline stages (in reverse order to avoid same-cycle races) --------
 
     def _commit(self, ports_left: int) -> int:
+        ruu = self._ruu
         width = self.config.commit_width
-        while width and self._ruu:
-            head = self._ruu[0]
+        committed = 0
+        while committed < width and ruu:
+            head = ruu[0]
             if not head.completed:
                 break
-            if head.inst.op is OpClass.STORE:
+            inst = head.inst
+            if inst.op is _STORE:
                 if ports_left == 0:
                     break
                 ports_left -= 1
-                self._store_writeback(head.inst.addr)
-                remaining = self._pending_stores.get(head.inst.addr, 1) - 1
+                self._store_writeback(inst.addr)
+                stores = self._pending_stores
+                remaining = stores.get(inst.addr, 1) - 1
                 if remaining:
-                    self._pending_stores[head.inst.addr] = remaining
+                    stores[inst.addr] = remaining
                 else:
-                    self._pending_stores.pop(head.inst.addr, None)
-            self._ruu.popleft()
-            if head.inst.is_mem:
+                    stores.pop(inst.addr, None)
+            ruu.popleft()
+            if inst.is_mem:
                 self._lsq_count -= 1
-            self.activity.committed += 1
-            self.stats.committed += 1
-            width -= 1
+            committed += 1
+        self.activity.committed += committed
+        self.stats.committed += committed
         return ports_left
 
     def _store_writeback(self, addr: int) -> None:
@@ -209,19 +220,22 @@ class Pipeline:
         done = self._completions.pop(self.cycle, None)
         if not done:
             return
+        activity = self.activity
+        pending = self._pending
+        ready = self._ready
+        wakeups = 0
         for entry in done:
             entry.completed = True
-            self._pending.pop(entry.seq, None)
-            self.activity.completions += 1
-            self.activity.regfile_writes += 1
+            pending.pop(entry.seq, None)
             if entry.deep_load:
                 # An L1-missing load finished being serviced.
                 self._mem_outstanding -= 1
-            for consumer in entry.consumers:
+            consumers = entry.consumers
+            wakeups += len(consumers)
+            for consumer in consumers:
                 consumer.deps -= 1
-                self.activity.wakeups += 1
                 if consumer.deps == 0 and not consumer.issued:
-                    self._ready.append(consumer)
+                    ready.append(consumer)
             if entry.mispredicted:
                 # Resolution: redirect the front end after the penalty.
                 self._fetch_blocked = False
@@ -229,28 +243,38 @@ class Pipeline:
                     self._fetch_stall_until,
                     self.cycle + self.config.branch_penalty,
                 )
+        activity.completions += len(done)
+        activity.regfile_writes += len(done)
+        activity.wakeups += wakeups
 
     def _issue(self, ports_left: int) -> None:
+        ready = self._ready
         width = self.config.issue_width
-        if not self._ready or width == 0:
+        if not ready or width == 0:
             return
+        activity = self.activity
+        completions = self._completions
+        pending_stores = self._pending_stores
+        try_issue = self.funits.try_issue
+        cycle = self.cycle
         leftovers: list[_Entry] = []
         issued = 0
-        for entry in self._ready:
+        for k, entry in enumerate(ready):
             if issued >= width:
-                leftovers.append(entry)
-                continue
-            op = entry.inst.op
-            if op is OpClass.LOAD:
+                leftovers.extend(ready[k:])
+                break
+            inst = entry.inst
+            op = inst.op
+            if op is _LOAD:
                 if ports_left == 0:
                     leftovers.append(entry)
                     continue
-                if entry.inst.addr in self._pending_stores:
+                if inst.addr in pending_stores:
                     # Store-to-load forwarding: an in-flight store to the
                     # same address supplies the data from the LSQ in one
                     # cycle, no cache access.
                     latency = 1
-                    self.activity.lsq_issues += 1
+                    activity.lsq_issues += 1
                     self.stats.store_forwards += 1
                 elif self._mem_outstanding >= self.config.mshr_entries:
                     # All miss-status registers busy: the load must wait.
@@ -258,36 +282,34 @@ class Pipeline:
                     continue
                 else:
                     ports_left -= 1
-                    latency, deep = self._load_latency(entry.inst.addr)
-                    self.activity.lsq_issues += 1
+                    latency, deep = self._load_latency(inst.addr)
+                    activity.lsq_issues += 1
                     if deep:
                         entry.deep_load = True
                         self._mem_outstanding += 1
-            elif op is OpClass.STORE:
+            elif op is _STORE:
                 # Address generation only; data is written at commit.
                 latency = 1
-                self.activity.lsq_issues += 1
+                activity.lsq_issues += 1
             else:
-                maybe = self.funits.try_issue(op, self.cycle)
-                if maybe is None:
+                latency = try_issue(op, cycle)
+                if latency is None:
                     leftovers.append(entry)
                     continue
-                latency = maybe
                 self._count_fu(op)
             entry.issued = True
             issued += 1
-            self.activity.regfile_reads += 2
-            self.stats.issued += 1
-            when = self.cycle + latency
-            self._completions.setdefault(when, []).append(entry)
+            completions.setdefault(cycle + latency, []).append(entry)
+        activity.regfile_reads += 2 * issued
+        self.stats.issued += issued
         self._ready = leftovers
 
     def _count_fu(self, op: OpClass) -> None:
-        if op in (OpClass.IALU, OpClass.BRANCH, OpClass.NOP):
+        if op in _INT_ALU_OPS:
             self.activity.issued_ialu += 1
-        elif op in (OpClass.IMULT, OpClass.IDIV):
+        elif op in _INT_MULT_OPS:
             self.activity.issued_imult += 1
-        elif op is OpClass.FPALU:
+        elif op is _FPALU:
             self.activity.issued_fpalu += 1
         else:
             self.activity.issued_fpmult += 1
@@ -315,36 +337,50 @@ class Pipeline:
         return latency, deep
 
     def _dispatch(self) -> None:
-        width = self.config.decode_width
-        while width and self._fetch_buffer:
-            if len(self._ruu) >= self.config.ruu_size:
+        fetch_buffer = self._fetch_buffer
+        if not fetch_buffer:
+            return
+        config = self.config
+        width = config.decode_width
+        room = config.ruu_size - len(self._ruu)
+        if room <= 0 or width == 0:
+            return
+        if room < width:
+            width = room
+        lsq_size = config.lsq_size
+        ruu = self._ruu
+        pending = self._pending
+        ready = self._ready
+        seq = self._seq
+        dispatched = 0
+        while dispatched < width and fetch_buffer:
+            inst, mispredicted = fetch_buffer[0]
+            if inst.is_mem and self._lsq_count >= lsq_size:
                 break
-            inst, mispredicted = self._fetch_buffer[0]
-            if inst.is_mem and self._lsq_count >= self.config.lsq_size:
-                break
-            self._fetch_buffer.popleft()
-            entry = _Entry(self._seq, inst, mispredicted)
-            self._seq += 1
+            fetch_buffer.popleft()
+            entry = _Entry(seq, inst, mispredicted)
             for dist in (inst.src1_dist, inst.src2_dist):
                 if dist > 0:
-                    producer = self._pending.get(entry.seq - dist)
+                    producer = pending.get(seq - dist)
                     if producer is not None and not producer.completed:
                         producer.consumers.append(entry)
                         entry.deps += 1
-            self._ruu.append(entry)
-            self._pending[entry.seq] = entry
+            ruu.append(entry)
+            pending[seq] = entry
+            seq += 1
             if inst.is_mem:
                 self._lsq_count += 1
-                if inst.op is OpClass.STORE:
-                    self._pending_stores[inst.addr] = (
-                        self._pending_stores.get(inst.addr, 0) + 1
-                    )
+                if inst.op is _STORE:
+                    stores = self._pending_stores
+                    stores[inst.addr] = stores.get(inst.addr, 0) + 1
             if entry.deps == 0:
-                self._ready.append(entry)
-            self.activity.decoded += 1
-            self.activity.dispatched += 1
-            self.stats.dispatched += 1
-            width -= 1
+                ready.append(entry)
+            dispatched += 1
+        self._seq = seq
+        activity = self.activity
+        activity.decoded += dispatched
+        activity.dispatched += dispatched
+        self.stats.dispatched += dispatched
 
     def _fetch(self) -> None:
         if (
@@ -376,47 +412,57 @@ class Pipeline:
             self._unfetch(first)
             return
 
+        fetch_buffer = self._fetch_buffer
+        fetch_width = self.config.fetch_width
+        queue_size = self.config.fetch_queue_size
+        stream = self._stream
         fetched = 0
-        inst: Instruction | None = first
-        while inst is not None:
-            stop = self._fetch_one(inst)
+        inst = first
+        while True:
             fetched += 1
-            if (
-                stop
-                or fetched >= self.config.fetch_width
-                or len(self._fetch_buffer) >= self.config.fetch_queue_size
-            ):
+            if inst.is_branch:
+                if self._fetch_branch(inst):
+                    break
+            else:
+                fetch_buffer.append((inst, False))
+            if fetched >= fetch_width or len(fetch_buffer) >= queue_size:
                 break
-            inst = self._next_instruction()
+            # The lookahead slot was emptied by the first fetch above.
+            try:
+                inst = next(stream)
+            except StopIteration:
+                self._stream_done = True
+                break
+            if inst is None:
+                break
+        self.stats.fetched += fetched
 
-    def _fetch_one(self, inst: Instruction) -> bool:
-        """Push one instruction into the fetch buffer; True = stop fetching."""
+    def _fetch_branch(self, inst: Instruction) -> bool:
+        """Predict and buffer one branch; True = stop fetching."""
         mispredicted = False
         stop = False
-        if inst.is_branch:
-            self.activity.bpred_lookups += 1
-            self.stats.branches += 1
-            correct = self.predictor.update(inst.pc, inst.taken)
-            if inst.is_call:
-                self.ras.push(inst.pc + 4)
-            if inst.is_return:
-                correct = correct and self.ras.pop() is not None
-            if inst.taken:
-                target = self.btb.lookup(inst.pc)
-                self.btb.update(inst.pc, inst.addr)
-                if correct and target is None and not inst.is_return:
-                    # Right direction, unknown target: one-cycle bubble.
-                    self._fetch_stall_until = max(
-                        self._fetch_stall_until, self.cycle + 2
-                    )
-                stop = True  # taken branches end the fetch group
-            if not correct:
-                mispredicted = True
-                self.stats.mispredictions += 1
-                self._fetch_blocked = True
-                stop = True
+        self.activity.bpred_lookups += 1
+        self.stats.branches += 1
+        correct = self.predictor.update(inst.pc, inst.taken)
+        if inst.is_call:
+            self.ras.push(inst.pc + 4)
+        if inst.is_return:
+            correct = correct and self.ras.pop() is not None
+        if inst.taken:
+            target = self.btb.lookup(inst.pc)
+            self.btb.update(inst.pc, inst.addr)
+            if correct and target is None and not inst.is_return:
+                # Right direction, unknown target: one-cycle bubble.
+                self._fetch_stall_until = max(
+                    self._fetch_stall_until, self.cycle + 2
+                )
+            stop = True  # taken branches end the fetch group
+        if not correct:
+            mispredicted = True
+            self.stats.mispredictions += 1
+            self._fetch_blocked = True
+            stop = True
         self._fetch_buffer.append((inst, mispredicted))
-        self.stats.fetched += 1
         return stop
 
     def _next_instruction(self) -> Instruction | None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
+from typing import Callable
 
 __all__ = ["ActivityCounters", "UnitPower", "WattchPowerModel", "ClockGating"]
 
@@ -50,8 +52,26 @@ class ActivityCounters:
 
     def reset(self) -> None:
         """Zero all counters (start of cycle)."""
-        for name in self.__slots__:
-            setattr(self, name, 0)
+        # Straight-line stores: this runs every simulated cycle.
+        self.fetches = 0
+        self.icache_accesses = 0
+        self.bpred_lookups = 0
+        self.decoded = 0
+        self.dispatched = 0
+        self.issued_ialu = 0
+        self.issued_imult = 0
+        self.issued_fpalu = 0
+        self.issued_fpmult = 0
+        self.lsq_issues = 0
+        self.dcache_accesses = 0
+        self.l2_accesses = 0
+        self.memory_accesses = 0
+        self.wakeups = 0
+        self.completions = 0
+        self.regfile_reads = 0
+        self.regfile_writes = 0
+        self.committed = 0
+        self.injected_noops = 0
 
 
 class ClockGating(Enum):
@@ -73,9 +93,12 @@ class UnitPower:
     max_per_cycle: int  # structural bound, for the NONE gating style
 
 
-@dataclass
+@dataclass(frozen=True)
 class WattchPowerModel:
     """Maps per-cycle activity to per-cycle current.
+
+    Frozen: :meth:`current` runs off a per-unit plan built once at
+    construction, which must never go stale.
 
     Parameters
     ----------
@@ -91,10 +114,39 @@ class WattchPowerModel:
     clock_tree: float = 8.0
     static: float = 3.0
     units: tuple[UnitPower, ...] = field(default_factory=lambda: _DEFAULT_UNITS)
+    # The plan :meth:`current` runs off: a getter reading every unit's
+    # counter and then the no-op count, the activity-independent floor,
+    # and per activity-dependent unit its (per_access, idle) pair.
+    _counts: Callable = field(init=False, repr=False, compare=False)
+    _floor: float = field(init=False, repr=False, compare=False)
+    _terms: tuple[tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.idle_fraction <= 1.0:
             raise ValueError("idle_fraction must be in [0, 1]")
+        # attrgetter of a single name returns the bare value: the trailing
+        # no-op count keeps a one-unit table a tuple, and an empty table
+        # reads it twice.
+        names = [u.counter for u in self.units] + ["injected_noops"]
+        if len(names) == 1:
+            names *= 2
+        floor = self.clock_tree + self.static
+        if self.gating is ClockGating.NONE:
+            # Every unit draws its structural maximum whatever the
+            # activity: the same additions, in the same order, up front.
+            for u in self.units:
+                floor += u.per_access * u.max_per_cycle
+            terms = ()
+        else:
+            idle = self.gating is ClockGating.CC3
+            terms = tuple(
+                (u.per_access, u.idle if idle else 0.0) for u in self.units
+            )
+        object.__setattr__(self, "_counts", attrgetter(*names))
+        object.__setattr__(self, "_floor", floor)
+        object.__setattr__(self, "_terms", terms)
 
     def unit_currents(self, activity: ActivityCounters) -> dict[str, float]:
         """Per-structure current draw for one cycle's activity.
@@ -118,18 +170,19 @@ class WattchPowerModel:
         return out
 
     def current(self, activity: ActivityCounters) -> float:
-        """Per-cycle current (amperes) for the observed activity."""
-        total = self.clock_tree + self.static
-        for unit in self.units:
-            count = getattr(activity, unit.counter)
-            if self.gating is ClockGating.NONE:
-                total += unit.per_access * unit.max_per_cycle
-            elif count > 0:
-                total += unit.per_access * count
-            elif self.gating is ClockGating.CC3:
-                total += unit.idle
+        """Per-cycle current (amperes) for the observed activity.
+
+        Adds the unit terms one at a time in table order, the order
+        :meth:`unit_currents` lists them in, and never pre-sums idle
+        terms: floating-point addition is not associative, and traces
+        must be bit-reproducible.
+        """
+        counts = self._counts(activity)
+        total = self._floor
+        for count, (per_access, idle) in zip(counts, self._terms):
+            total += per_access * count if count > 0 else idle
         # Injected no-ops burn ALU + window + bus power without doing work.
-        total += 4.0 * activity.injected_noops
+        total += 4.0 * counts[-1]
         return total
 
     @property

@@ -61,6 +61,11 @@ _COLD_BASE = 0x4000_0000
 # Memory-region tags used by body templates.
 _HOT, _WARM, _COLD = 0, 1, 2
 
+# Enum members bound once for the per-instruction path (an Enum
+# class-attribute lookup costs several times the comparison).
+_MEM_OPS = (OpClass.LOAD, OpClass.STORE)
+_BRANCH = OpClass.BRANCH
+
 
 @dataclass(frozen=True)
 class _Slot:
@@ -204,7 +209,7 @@ class InstructionGenerator:
         return _HOT_BASE + 8 * int(self._rng.integers(0, self._hot_slots))
 
     def _instantiate(self, slot: _Slot, pc: int) -> Instruction:
-        if slot.op in (OpClass.LOAD, OpClass.STORE):
+        if slot.op in _MEM_OPS:
             return Instruction(
                 slot.op,
                 pc=pc,
@@ -212,7 +217,7 @@ class InstructionGenerator:
                 src2_dist=slot.src2,
                 addr=self._address_for(slot.mem_region),
             )
-        if slot.op is OpClass.BRANCH:
+        if slot.op is _BRANCH:
             if slot.pattern_period:
                 count = self._branch_counters.get(pc, 0)
                 self._branch_counters[pc] = count + 1
@@ -220,7 +225,7 @@ class InstructionGenerator:
             else:
                 taken = bool(self._rng.random() < slot.branch_bias)
             return Instruction(
-                OpClass.BRANCH,
+                _BRANCH,
                 pc=pc,
                 src1_dist=slot.src1,
                 addr=pc + 4 * slot.target_offset,
@@ -263,7 +268,7 @@ class InstructionGenerator:
                 for k, slot in enumerate(body):
                     yield self._instantiate(slot, loop_start + 4 * k)
                 yield Instruction(
-                    OpClass.BRANCH,
+                    _BRANCH,
                     pc=back_pc,
                     src1_dist=0,
                     addr=loop_start,
@@ -296,7 +301,7 @@ class InstructionGenerator:
                 # Loop back-edge: tests an induction variable that is long
                 # since computed, so it carries no in-flight dependence.
                 yield Instruction(
-                    OpClass.BRANCH,
+                    _BRANCH,
                     pc=back_pc,
                     src1_dist=0,
                     addr=loop_start,
@@ -307,27 +312,26 @@ class InstructionGenerator:
 
 
 def prewarm_caches(hierarchy, profile: WorkloadProfile | str) -> None:
-    """Pre-populate the cache hierarchy with the profile's working sets.
+    """Pre-populate a fresh cache hierarchy with the profile's working sets.
 
-    Touches the warm region, then the hot region, then the code footprint
-    (in that order, so LRU leaves the hot set resident in the L1 and the
-    warm set in the L2), standing in for the billions of warm-up
+    Leaves the state of touching the warm region, then the hot region,
+    then the code footprint, one access per line (in that order, so LRU
+    leaves the hot set resident in the L1 and the warm set in the L2),
+    with every counter at zero — standing in for the billions of warm-up
     instructions a real SimPoint run would have executed before the
-    measured interval.
+    measured interval.  The state is installed in closed form
+    (:meth:`~repro.uarch.caches.CacheHierarchy.prewarm`); a hierarchy
+    that has already been accessed raises ``ValueError``.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
-    for addr in range(_WARM_BASE, _WARM_BASE + profile.warm_bytes, _LINE):
-        hierarchy.access_data(addr)
-    for addr in range(_HOT_BASE, _HOT_BASE + profile.hot_bytes, _LINE):
-        hierarchy.access_data(addr)
-    for pc in range(_CODE_BASE, _CODE_BASE + profile.code_bytes, _LINE):
-        hierarchy.access_instruction(pc)
-    # Forget the warm-up traffic so measured statistics start clean.
-    for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
-        cache.hits = 0
-        cache.misses = 0
-    hierarchy.memory_accesses = 0
+    hierarchy.prewarm(
+        data=(
+            range(_WARM_BASE, _WARM_BASE + profile.warm_bytes, _LINE),
+            range(_HOT_BASE, _HOT_BASE + profile.hot_bytes, _LINE),
+        ),
+        code=(range(_CODE_BASE, _CODE_BASE + profile.code_bytes, _LINE),),
+    )
 
 
 def generate(
