@@ -203,8 +203,8 @@ class WaveletVoltageEstimator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities and contribution terms from one shared stats pass.
 
-        What the ``characterize`` pipeline stage wants: both outputs of
-        the §4.1 analysis without decomposing every window twice.
+        Both outputs of the §4.1 analysis for a window matrix without
+        decomposing every window twice.
         Results are bit-identical to calling :meth:`window_probs_below`
         and :meth:`window_contribution_terms` separately.
         """

@@ -25,8 +25,7 @@ Backend selection
 One object, :class:`KernelConfig`, owns backend selection.  Resolution
 order (first hit wins):
 
-1. an explicit ``backend=`` argument to :func:`get_kernel` /
-   :func:`resolve_kernel`;
+1. an explicit ``backend=`` argument to :func:`get_kernel`;
 2. the innermost active ``with KernelConfig(backend=...):`` context;
 3. the process-wide config installed by ``KernelConfig(...).activate()``;
 4. the ``REPRO_KERNEL_BACKEND`` environment variable (read live);
@@ -36,17 +35,12 @@ The older ``set_backend`` / ``use_backend`` entry points remain as thin
 shims that emit :class:`DeprecationWarning` and delegate to
 :class:`KernelConfig`.
 
-A kernel registered one-sided falls back along the chain
-``batched → vectorized → reference``; the fallback is explicit in
-:func:`resolve_kernel`'s return value and logged once per
-(kernel, backend) pair.  Pinning an explicit backend never falls back —
-a missing implementation raises.
-
 Kernel contract
 ---------------
 A kernel is a pure function of its arguments registered under the same
 name in **every** backend (the equivalence battery fails loudly on a
-one-sided registration).  The registered signatures:
+one-sided registration, and dispatching to a backend without an
+implementation raises ``ValueError``).  The registered signatures:
 
 ``wavedec(x, wavelet="haar", level=None)``
     Multilevel periodized DWT, ``[aJ, dJ, ..., d1]``.
@@ -74,7 +68,6 @@ a ``kernel.<name>`` span tagged with the backend actually used, so
 from __future__ import annotations
 
 import functools
-import logging
 import os
 import warnings
 from dataclasses import dataclass
@@ -87,11 +80,9 @@ __all__ = [
     "WindowStats",
     "available_backends",
     "available_kernels",
-    "get_backend",
     "get_kernel",
     "register_kernel",
     "resolve_backend",
-    "resolve_kernel",
     "set_backend",
     "use_backend",
 ]
@@ -106,12 +97,6 @@ _BACKENDS = ("reference", "vectorized", "batched")
 
 #: name -> backend -> implementation
 _REGISTRY: dict[str, dict[str, object]] = {}
-
-#: One-sided registrations resolve down this chain (never up).
-_FALLBACK_CHAIN = {"batched": "vectorized", "vectorized": "reference"}
-
-_log = logging.getLogger(__name__)
-_warned_fallbacks: set[tuple[str, str]] = set()
 
 
 def available_backends() -> tuple[str, ...]:
@@ -215,11 +200,6 @@ def resolve_backend(explicit: str | None = None) -> str:
     return DEFAULT_BACKEND
 
 
-def get_backend() -> str:
-    """The currently active backend name (alias of :func:`resolve_backend`)."""
-    return resolve_backend()
-
-
 def set_backend(backend: str) -> None:
     """Deprecated: use ``KernelConfig(backend=...).activate()``."""
     warnings.warn(
@@ -247,39 +227,17 @@ def get_kernel(name: str, backend: str | None = None):
 
     With ``backend=None`` (the normal call-site form) the returned
     callable re-resolves the active backend on **every call**, so
-    :class:`KernelConfig` contexts affect kernels fetched earlier, and a
-    one-sided registration falls back down the chain (logged once).
-    With an explicit backend it is pinned to that exact implementation —
-    no fallback; a missing implementation raises.  Either way the call
-    is wrapped in a ``kernel.<name>`` tracing span when observability is
-    enabled.
+    :class:`KernelConfig` contexts affect kernels fetched earlier.  With
+    an explicit backend it is pinned to that exact implementation.
+    Either way a backend without an implementation raises
+    ``ValueError``, and the call is wrapped in a ``kernel.<name>``
+    tracing span when observability is enabled.
     """
     impls = _kernel_impls(name)
     if backend is not None:
         _check_backend(backend)
-        try:
-            impl = impls[backend]
-        except KeyError:
-            raise ValueError(
-                f"kernel {name!r} has no {backend!r} implementation"
-            ) from None
-        return _spanned(name, backend, impl)
+        return _spanned(name, backend, _pick(name, impls, backend))
     return _dispatcher(name)
-
-
-def resolve_kernel(name: str, backend: str | None = None):
-    """Resolve ``name`` right now, fallback included: ``(impl, backend)``.
-
-    Unlike :func:`get_kernel` this makes the fallback explicit in the
-    return value: the second element is the backend that will actually
-    run, which differs from the requested/active one when the kernel is
-    registered one-sided.  The resolution is a snapshot — later
-    :class:`KernelConfig` changes do not affect the returned callable.
-    """
-    impls = _kernel_impls(name)
-    requested = resolve_backend(backend)
-    impl, used = _resolve_impl(name, impls, requested)
-    return _spanned(name, used, impl), used
 
 
 def _kernel_impls(name: str) -> dict[str, object]:
@@ -291,29 +249,13 @@ def _kernel_impls(name: str) -> dict[str, object]:
         ) from None
 
 
-def _resolve_impl(name: str, impls: dict[str, object], requested: str):
-    used: str | None = requested
-    while used is not None:
-        impl = impls.get(used)
-        if impl is not None:
-            if used != requested:
-                _note_fallback(name, requested, used)
-            return impl, used
-        used = _FALLBACK_CHAIN.get(used)
-    raise ValueError(f"kernel {name!r} has no {requested!r} implementation")
-
-
-def _note_fallback(name: str, requested: str, used: str) -> None:
-    key = (name, requested)
-    if key in _warned_fallbacks:
-        return
-    _warned_fallbacks.add(key)
-    _log.warning(
-        "kernel %r has no %r implementation; falling back to %r",
-        name,
-        requested,
-        used,
-    )
+def _pick(name: str, impls: dict[str, object], backend: str):
+    try:
+        return impls[backend]
+    except KeyError:
+        raise ValueError(
+            f"kernel {name!r} has no {backend!r} implementation"
+        ) from None
 
 
 def _spanned(name: str, backend: str, impl):
@@ -330,7 +272,8 @@ def _spanned(name: str, backend: str, impl):
 @functools.lru_cache(maxsize=None)
 def _dispatcher(name: str):
     def call(*args, **kwargs):
-        impl, backend = _resolve_impl(name, _REGISTRY[name], resolve_backend())
+        backend = resolve_backend()
+        impl = _pick(name, _REGISTRY[name], backend)
         if obs.ENABLED:
             with obs.span(f"kernel.{name}", backend=backend):
                 return impl(*args, **kwargs)

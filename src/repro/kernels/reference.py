@@ -124,13 +124,15 @@ def gaussian_prob_below(means, variances, threshold: float) -> np.ndarray:
     ).reshape(m.shape)
 
 
-@register_kernel("characterize_block", "reference")
-def characterize_block(estimator, traces, threshold: float):
-    """One trace at a time through the scalar kernels — the block oracle.
+def characterize_rows(
+    estimator, traces, threshold: float, window_stats, gaussian_prob_below
+):
+    """``characterize_block`` one trace at a time through the given
+    per-window kernels: ``window_stats`` → factor lookup →
+    ``gaussian_prob_below`` on each row alone.
 
     Returns ``(probs, terms)`` of shapes ``(N, W)`` and
-    ``(N, levels, W)``: exactly what running each trace alone through
-    ``window_stats`` → factor lookup → ``gaussian_prob_below`` yields.
+    ``(N, levels, W)``.
     """
     t = check_traces_matrix(traces)
     probs_rows = []
@@ -142,6 +144,14 @@ def characterize_block(estimator, traces, threshold: float):
         probs_rows.append(gaussian_prob_below(mean_v, v_var, threshold))
         terms_rows.append(estimator.contribution_terms_from(stats))
     return np.stack(probs_rows), np.stack(terms_rows)
+
+
+@register_kernel("characterize_block", "reference")
+def characterize_block(estimator, traces, threshold: float):
+    """One trace at a time through the scalar kernels — the block oracle."""
+    return characterize_rows(
+        estimator, traces, threshold, window_stats, gaussian_prob_below
+    )
 
 
 @register_kernel("convolver_apply", "reference")

@@ -9,31 +9,35 @@ wiring:
   parameter (cycles, window, threshold, network, params, stage chain,
   trace dtype) and whose stage chain ends in ``characterize``.  The
   supervisor then dispatches **one** block job instead of N trace jobs.
-* :func:`execute_block` runs a block: every member still executes its
-  prefix stages (``simulate``/``load_trace``/``voltage``) and probes its
-  **own** per-trace cache key under its **own** ``pipeline.job`` span;
-  only the cache-missing members' traces are stacked — zero-copy
-  attached when store-backed — into one ``characterize_block`` kernel
-  call, whose result is split back into per-member artifacts and cached
-  under each member's key.
+* :func:`execute_block` runs a block: every member runs its prefix
+  stages (``simulate``/``load_trace``/``voltage``) through the
+  executor's own stage step (:func:`~repro.pipeline.executor.run_stage`)
+  under its **own** ``pipeline.job`` span, then probes its **own**
+  per-trace characterize key and passes its fault point; only the
+  cache-missing members' traces are stacked — zero-copy attached when
+  store-backed — into one ``characterize_block`` kernel call, whose
+  result is split back into per-member artifacts and cached under each
+  member's key.
 
-The fused math is bit-identical per trace to the streaming per-trace
-path (every reduction is row-local and split matrices stay
-C-contiguous), so a block job and N single jobs produce byte-identical
-cache entries — the property ``tests/pipeline/test_blocks.py`` pins.
+A single job's ``characterize`` stage is the same kernel call over a
+one-row stack, and both paths build the artifact with
+:func:`~repro.pipeline.stages.characterize_artifact`.  Every kernel
+reduction is row-local, so a block job and N single jobs produce
+byte-identical cache entries — the property
+``tests/pipeline/test_blocks.py`` pins.
 
-Failures stay member-granular where possible: a member whose trace
-attach or injected fault raises fails alone; only a failure of the fused
-pass itself falls back to per-member computation.  The block container
-carries telemetry once; retries operate on the whole block (already-
-cached members are satisfied from cache on the next attempt).
+Failures stay member-granular where possible: a member whose prefix
+stage, trace attach or injected fault raises fails alone; a failure of
+the fused pass itself falls back to the per-trace stage step for every
+member.  The block container carries telemetry once; retries operate on
+the whole block (already-cached members are satisfied from cache on the
+next attempt).
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,16 +46,24 @@ from ..errors import SpecError
 from ..obs import trace as obs
 from . import executor as _executor
 from . import faults
-from .executor import JobOutcome
+from .executor import (
+    DEFAULT_MAX_BLOCK,
+    JobOutcome,
+    note_job_status,
+    note_pickle_bytes,
+    record_failure,
+    record_stage_time,
+    run_stage,
+)
 from .spec import CACHE_SALT, JobSpec, hash_payload, trace_identity
-from .stages import StageContext, get_stage, stage_cache_keys
+from .stages import (
+    StageContext,
+    characterize_artifact,
+    get_stage,
+    stage_cache_keys,
+)
 
 __all__ = ["BlockSpec", "BlockOutcome", "block_key", "group_blocks", "execute_block"]
-
-#: Default cap on members per block: bounds worker memory (one float64
-#: copy of every stacked trace) and keeps retry granularity reasonable.
-DEFAULT_MAX_BLOCK = 32
-
 
 def block_key(spec: JobSpec) -> tuple:
     """The compatibility key two specs must share to ride one block."""
@@ -218,7 +230,7 @@ def synthesize_member_failures(outcome: JobOutcome) -> list:
 class _MemberRun:
     """Executor-side state of one member inside a running block."""
 
-    __slots__ = ("spec", "outcome", "ctx", "keys", "char_done")
+    __slots__ = ("spec", "outcome", "ctx", "keys", "trace")
 
     def __init__(self, spec: JobSpec, attempt: int) -> None:
         self.spec = spec
@@ -227,187 +239,67 @@ class _MemberRun:
         )
         self.ctx: StageContext | None = None
         self.keys: dict[str, str] | None = None
-        self.char_done = False
-
-
-def _member_fail(
-    run: _MemberRun, stage: str, exc: BaseException, attempt: int
-) -> None:
-    run.outcome.failed_stage = stage
-    run.outcome.error = (
-        f"job {run.spec.label}: stage {stage!r} raised "
-        f"{type(exc).__name__} on attempt {attempt}\n"
-        + traceback.format_exc()
-    )
-    run.outcome.error_kind = "exception"
-
-
-def _stage_timing(run: _MemberRun, name: str, seconds: float, hit: bool) -> None:
-    run.outcome.timings[name] = run.outcome.timings.get(name, 0.0) + seconds
-    run.outcome.cache_hits[name] = hit
-    if obs.ENABLED:
-        obs.histogram_observe(
-            "pipeline_stage_seconds",
-            seconds,
-            "stage wall time including cache lookups",
-            stage=name,
-        )
+        # set when characterize missed the cache: the fused pass's input
+        self.trace: np.ndarray | None = None
 
 
 def _member_prefix(spec: JobSpec, cache, attempt: int, plan) -> _MemberRun:
-    """Run one member's pre-characterize stages + characterize cache probe.
-
-    Mirrors :func:`~repro.pipeline.executor.execute_job` stage for
-    stage — same spans, cache keys, fault points and error text — but
-    stops short of computing ``characterize``, which the fused pass
-    owns.
-    """
+    """Run one member under its own ``pipeline.job`` span, short of the
+    fused pass: every pre-characterize stage through the executor's
+    stage step, then the characterize step deferred after its probe and
+    fault point, with the member's trace attached for the stack."""
     run = _MemberRun(spec, attempt)
-    outcome = run.outcome
     t_job = time.perf_counter()
     with obs.span(
         "pipeline.job", attempt=attempt, blocked=1, **spec.obs_attrs()
     ) as job_span:
         try:
-            run.keys = stage_cache_keys(spec)
-            run.ctx = StageContext(spec)
+            run.keys = keys = stage_cache_keys(spec)
+            run.ctx = ctx = StageContext(spec)
             for name in spec.stages[:-1]:
-                stage = get_stage(name)
-                t0 = time.perf_counter()
-                hit = False
-                try:
-                    artifact = None
-                    if cache is not None:
-                        hit, artifact = cache.get(
-                            name, run.keys[name], stage.kind
-                        )
-                    if not hit:
-                        if plan is not None:
-                            faults.apply_fault(
-                                plan, name, spec.benchmark, attempt
-                            )
-                        with obs.span(
-                            f"stage.{name}", benchmark=spec.benchmark
-                        ):
-                            artifact = stage.func(run.ctx)
-                        if cache is not None:
-                            cache.put(
-                                name, run.keys[name], stage.kind, artifact
-                            )
-                finally:
-                    _stage_timing(run, name, time.perf_counter() - t0, hit)
-                run.ctx.artifacts[name] = artifact
-                outcome.artifacts[name] = artifact
-            # the final characterize stage: probe the member's own cache
-            # key; a miss is deferred to the fused block pass
+                run_stage(run.outcome, ctx, keys, name, cache, plan)
             name = spec.stages[-1]
-            stage = get_stage(name)
-            t0 = time.perf_counter()
-            hit = False
-            artifact = None
-            if cache is not None:
-                hit, artifact = cache.get(name, run.keys[name], stage.kind)
-            if hit:
-                _stage_timing(run, name, time.perf_counter() - t0, True)
-                run.ctx.artifacts[name] = artifact
-                outcome.artifacts[name] = artifact
-                run.char_done = True
+            if not run_stage(
+                run.outcome, ctx, keys, name, cache, plan, defer=True
+            ):
+                run.trace = ctx.current_trace()
         except Exception as exc:
-            outcome.failed_stage = next(
-                (n for n in spec.stages if n not in outcome.artifacts), None
-            )
-            outcome.error = (
-                f"job {spec.label}: stage {outcome.failed_stage!r} raised "
-                f"{type(exc).__name__} on attempt {attempt}\n"
-                + traceback.format_exc()
-            )
-            outcome.error_kind = "exception"
-    outcome.elapsed = time.perf_counter() - t_job
-    outcome.peak_rss_bytes = int(job_span.rss_peak)
+            record_failure(run.outcome, exc)
+    run.outcome.elapsed = time.perf_counter() - t_job
+    run.outcome.peak_rss_bytes = int(job_span.rss_peak)
     return run
 
 
-def _split_artifact(probs_row, terms_row, levels: int) -> dict:
-    """One member's characterize artifact from its fused result rows.
-
-    Must stay byte-identical to what the streaming per-trace stage
-    produces: both rows are C-contiguous, so the sums see the same
-    pairwise reduction as the per-trace path.
-    """
-    count = probs_row.shape[0]
-    totals = terms_row.sum(axis=1)
-    return {
-        "estimated": float(probs_row.sum()) / count,
-        "windows": int(count),
-        "level_contributions": {
-            str(lvl): float(totals[lvl - 1]) / count
-            for lvl in range(1, levels + 1)
-        },
-    }
-
-
-def _member_characterize_single(run: _MemberRun, cache, attempt: int) -> None:
-    """Fallback: run one member's characterize stage the per-trace way."""
-    name = run.spec.stages[-1]
-    stage = get_stage(name)
-    t0 = time.perf_counter()
-    try:
-        with obs.span(f"stage.{name}", benchmark=run.spec.benchmark):
-            artifact = stage.func(run.ctx)
-        if cache is not None:
-            cache.put(name, run.keys[name], stage.kind, artifact)
-    except Exception as exc:
-        _stage_timing(run, name, time.perf_counter() - t0, False)
-        _member_fail(run, name, exc, attempt)
-        return
-    _stage_timing(run, name, time.perf_counter() - t0, False)
-    run.ctx.artifacts[name] = artifact
-    run.outcome.artifacts[name] = artifact
-    run.char_done = True
-
-
-def _fused_characterize(pending: list[_MemberRun], cache, attempt: int, plan) -> None:
+def _fused_characterize(pending: list[_MemberRun], cache) -> None:
     """One ``characterize_block`` kernel call for every cache-miss member."""
     name = pending[0].spec.stages[-1]
     stage = get_stage(name)
-    live: list[tuple[_MemberRun, np.ndarray]] = []
-    for run in pending:
-        t0 = time.perf_counter()
-        try:
-            if plan is not None:
-                faults.apply_fault(plan, name, run.spec.benchmark, attempt)
-            trace = run.ctx.current_trace()
-        except Exception as exc:
-            _stage_timing(run, name, time.perf_counter() - t0, False)
-            _member_fail(run, name, exc, attempt)
-            continue
-        _stage_timing(run, name, time.perf_counter() - t0, False)
-        live.append((run, trace))
-    if not live:
-        return
-    estimator = live[0][0].ctx.estimator
-    threshold = live[0][0].spec.threshold
     t0 = time.perf_counter()
     try:
-        traces = np.stack([trace for _, trace in live])
-        with obs.span("stage.characterize_block", members=len(live)):
-            probs, terms = estimator.characterize_traces(traces, threshold)
+        estimator = pending[0].ctx.estimator
+        traces = np.stack([run.trace for run in pending])
+        with obs.span("stage.characterize_block", members=len(pending)):
+            probs, terms = estimator.characterize_traces(
+                traces, pending[0].spec.threshold
+            )
     except Exception:
         # The fused pass itself failed (shape surprise, kernel bug):
         # degrade to the per-trace stage so one bad stack cannot take
-        # down every member.
-        for run, _ in live:
-            _member_characterize_single(run, cache, attempt)
+        # down every member.  Its fault point already ran (plan=None).
+        for run in pending:
+            try:
+                run_stage(run.outcome, run.ctx, run.keys, name, cache, None)
+            except Exception as exc:
+                record_failure(run.outcome, exc)
         return
-    share = (time.perf_counter() - t0) / len(live)
-    for k, (run, _) in enumerate(live):
-        artifact = _split_artifact(probs[k], terms[k], estimator.levels)
+    share = (time.perf_counter() - t0) / len(pending)
+    for k, run in enumerate(pending):
+        artifact = characterize_artifact(probs[k], terms[k], estimator.levels)
         if cache is not None:
             cache.put(name, run.keys[name], stage.kind, artifact)
-        _stage_timing(run, name, share, False)
+        record_stage_time(run.outcome, name, share, False)
         run.ctx.artifacts[name] = artifact
         run.outcome.artifacts[name] = artifact
-        run.char_done = True
 
 
 def execute_block(
@@ -433,21 +325,12 @@ def execute_block(
     ) as block_span:
         for index, spec in zip(block.indices, block.members):
             runs.append((index, _member_prefix(spec, cache, attempt, plan)))
-        pending = [
-            run
-            for _, run in runs
-            if run.outcome.ok and not run.char_done
-        ]
+        pending = [run for _, run in runs if run.trace is not None]
         if pending:
-            _fused_characterize(pending, cache, attempt, plan)
+            _fused_characterize(pending, cache)
         if obs.ENABLED:
             for _, run in runs:
-                obs.counter_inc(
-                    "pipeline_jobs_total",
-                    1,
-                    "job attempts executed by outcome status",
-                    status="ok" if run.outcome.ok else "error",
-                )
+                note_job_status(run.outcome)
     container.elapsed = time.perf_counter() - t_block
     container.peak_rss_bytes = int(block_span.rss_peak)
     container.members = [(index, run.outcome) for index, run in runs]
@@ -469,16 +352,7 @@ def execute_block(
             status="ok" if container.ok else "error",
         )
         if _executor._IN_POOL_WORKER:
-            total = sum(
-                _executor._trace_channel_bytes(run.outcome.artifacts)
-                for _, run in runs
-            )
-            obs.counter_inc(
-                "pipeline_trace_pickle_bytes_total",
-                total,
-                "trace-array bytes pickled through the worker result "
-                "channel (zero on the store path)",
-            )
+            note_pickle_bytes(*(run.outcome.artifacts for _, run in runs))
         container.metrics = obs.snapshot_delta(snap_before)
         container.obs_records = obs.drain_records()
     return container

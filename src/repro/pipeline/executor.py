@@ -71,6 +71,11 @@ __all__ = [
 #: exactly that, and store-backed batches assert it stays at zero.
 _IN_POOL_WORKER = False
 
+#: Default cap on members per fused block (see :mod:`.blocks`): bounds
+#: worker memory (one float64 copy of every stacked trace) and keeps
+#: retry granularity reasonable.
+DEFAULT_MAX_BLOCK = 32
+
 
 def _trace_channel_bytes(artifacts: dict) -> int:
     """Trace-array bytes that would cross the result pickle channel."""
@@ -259,16 +264,97 @@ class BatchResult:
         )
 
 
+def run_stage(
+    outcome: JobOutcome,
+    ctx: StageContext,
+    keys: dict[str, str],
+    name: str,
+    cache: ResultCache | None,
+    plan,
+    *,
+    defer: bool = False,
+) -> bool:
+    """The one stage step every executor path runs a stage through.
+
+    Probes the cache under the stage's key, and on a miss applies the
+    fault plan, computes under the ``stage.<name>`` span and stores the
+    artifact; the wall time (cache lookup included) and hit status are
+    recorded even when the stage raises, so a failed job still reports
+    the telemetry it accumulated.  ``defer=True`` stops after a miss's
+    fault point and returns ``False`` — the block executor computes
+    those in its fused pass.  Returns whether the artifact is now in
+    ``ctx``.
+    """
+    stage = get_stage(name)
+    t0 = time.perf_counter()
+    hit = False
+    try:
+        artifact = None
+        if cache is not None:
+            hit, artifact = cache.get(name, keys[name], stage.kind)
+        if not hit:
+            if plan is not None:
+                faults.apply_fault(
+                    plan, name, outcome.spec.benchmark, outcome.attempts
+                )
+            if defer:
+                return False
+            with obs.span(f"stage.{name}", benchmark=outcome.spec.benchmark):
+                artifact = stage.func(ctx)
+            if cache is not None:
+                cache.put(name, keys[name], stage.kind, artifact)
+    finally:
+        record_stage_time(outcome, name, time.perf_counter() - t0, hit)
+    ctx.artifacts[name] = artifact
+    outcome.artifacts[name] = artifact
+    return True
+
+
+def record_stage_time(
+    outcome: JobOutcome, name: str, seconds: float, hit: bool
+) -> None:
+    """Add ``seconds`` to a stage's wall time and note its hit status.
+
+    Accumulates: a block member's characterize time is its cache probe
+    plus its share of the fused kernel call.
+    """
+    outcome.timings[name] = outcome.timings.get(name, 0.0) + seconds
+    outcome.cache_hits[name] = hit
+    if obs.ENABLED:
+        obs.histogram_observe(
+            "pipeline_stage_seconds",
+            seconds,
+            "stage wall time including cache lookups",
+            stage=name,
+        )
+
+
+def record_failure(outcome: JobOutcome, exc: BaseException) -> None:
+    """Mark ``outcome`` failed by ``exc`` (call from its ``except``).
+
+    The failed stage is the first one without an artifact.  The text
+    threads the job identity into the traceback, which alone does not
+    say which of a 26-job batch it belongs to.
+    """
+    spec = outcome.spec
+    stage = next((n for n in spec.stages if n not in outcome.artifacts), None)
+    outcome.failed_stage = stage
+    outcome.error = (
+        f"job {spec.label}: stage {stage!r} raised "
+        f"{type(exc).__name__} on attempt {outcome.attempts}\n"
+        + traceback.format_exc()
+    )
+    outcome.error_kind = "exception"
+
+
 def execute_job(
     spec: JobSpec, cache: ResultCache | None = None, attempt: int = 1
 ) -> JobOutcome:
     """Run one job's stage chain, cache-aware, never raising.
 
-    Per-stage wall time is recorded even for the stage that raises, so a
-    failed job still reports every timing it accumulated (the partial
-    telemetry matters most exactly when diagnosing the failure).
-    ``attempt`` is threaded through so the fault-injection harness can
-    fire on the Nth attempt and error messages carry the retry context.
+    Every stage goes through :func:`run_stage`.  ``attempt`` is threaded
+    through so the fault-injection harness can fire on the Nth attempt
+    and error messages carry the retry context.
     """
     if getattr(spec, "is_block", False):
         from .blocks import execute_block
@@ -285,74 +371,39 @@ def execute_job(
             keys = stage_cache_keys(spec)
             ctx = StageContext(spec)
             for name in spec.stages:
-                stage = get_stage(name)
-                t0 = time.perf_counter()
-                hit = False
-                try:
-                    artifact = None
-                    if cache is not None:
-                        hit, artifact = cache.get(name, keys[name], stage.kind)
-                    if not hit:
-                        if plan is not None:
-                            faults.apply_fault(
-                                plan, name, spec.benchmark, attempt
-                            )
-                        with obs.span(
-                            f"stage.{name}", benchmark=spec.benchmark
-                        ):
-                            artifact = stage.func(ctx)
-                        if cache is not None:
-                            cache.put(name, keys[name], stage.kind, artifact)
-                finally:
-                    stage_s = time.perf_counter() - t0
-                    outcome.timings[name] = stage_s
-                    outcome.cache_hits[name] = hit
-                    if obs.ENABLED:
-                        obs.histogram_observe(
-                            "pipeline_stage_seconds",
-                            stage_s,
-                            "stage wall time including cache lookups",
-                            stage=name,
-                        )
-                ctx.artifacts[name] = artifact
-                outcome.artifacts[name] = artifact
+                run_stage(outcome, ctx, keys, name, cache, plan)
         except Exception as exc:
-            outcome.failed_stage = next(
-                (
-                    name
-                    for name in spec.stages
-                    if name not in outcome.artifacts
-                ),
-                None,
-            )
-            # Thread job identity into the chain: the traceback alone
-            # does not say which of a 26-job batch it belongs to.
-            outcome.error = (
-                f"job {spec.label}: stage {outcome.failed_stage!r} raised "
-                f"{type(exc).__name__} on attempt {attempt}\n"
-                + traceback.format_exc()
-            )
-            outcome.error_kind = "exception"
+            record_failure(outcome, exc)
     outcome.elapsed = time.perf_counter() - t_job
     outcome.peak_rss_bytes = int(job_span.rss_peak)
     if obs.ENABLED:
-        obs.counter_inc(
-            "pipeline_jobs_total",
-            1,
-            "job attempts executed by outcome status",
-            status="ok" if outcome.ok else "error",
-        )
+        note_job_status(outcome)
         if _IN_POOL_WORKER:
             # before snapshot_delta, so the worker's delta ships it back
-            obs.counter_inc(
-                "pipeline_trace_pickle_bytes_total",
-                _trace_channel_bytes(outcome.artifacts),
-                "trace-array bytes pickled through the worker result "
-                "channel (zero on the store path)",
-            )
+            note_pickle_bytes(outcome.artifacts)
         outcome.metrics = obs.snapshot_delta(snap_before)
         outcome.obs_records = obs.drain_records()
     return outcome
+
+
+def note_job_status(outcome: JobOutcome) -> None:
+    """Count one executed job attempt by outcome status."""
+    obs.counter_inc(
+        "pipeline_jobs_total",
+        1,
+        "job attempts executed by outcome status",
+        status="ok" if outcome.ok else "error",
+    )
+
+
+def note_pickle_bytes(*artifact_maps: dict) -> None:
+    """Count the trace bytes a pool worker's result is about to pickle."""
+    obs.counter_inc(
+        "pipeline_trace_pickle_bytes_total",
+        sum(_trace_channel_bytes(a) for a in artifact_maps),
+        "trace-array bytes pickled through the worker result "
+        "channel (zero on the store path)",
+    )
 
 
 def note_retry(spec: JobSpec, attempt: int, kind: str, delay: float) -> None:
@@ -391,7 +442,7 @@ class PipelineExecutor:
         raise_on_error: bool = True,
         policy: RetryPolicy | None = None,
         block: str = "auto",
-        max_block: int = 32,
+        max_block: int = DEFAULT_MAX_BLOCK,
     ) -> None:
         if workers < 0:
             workers = multiprocessing.cpu_count()

@@ -39,7 +39,6 @@ from ..power import ConvolutionVoltageSimulator
 from ..uarch import RunStatistics, SimulationResult, simulate_benchmark
 from ..errors import SpecError
 from .spec import CACHE_SALT, JobSpec, hash_payload
-from .windows import streaming_characterize
 
 __all__ = [
     "Stage",
@@ -307,32 +306,58 @@ def _stage_voltage(ctx: StageContext):
     }
 
 
-@register_stage("characterize", fields=("network", "threshold", "window"))
-def _stage_characterize(ctx: StageContext):
-    """The §4.1 wavelet-variance estimate, streamed block by block.
+def characterize_artifact(probs_row, terms_row, levels: int) -> dict:
+    """One trace's ``characterize`` artifact from its kernel result rows.
 
-    One pass through the kernel-dispatched batch path yields both the
-    below-threshold estimate and the per-level contributions.
+    ``probs_row`` (``(W,)``) and ``terms_row`` (``(levels, W)``) are one
+    row of what ``characterize_block`` returns.  The single-job stage
+    and the fused block pass both build their artifacts here, so the two
+    write byte-identical cache entries; both rows are C-contiguous, so
+    the sums see the same pairwise reduction whatever the stack size.
+    Also emits the per-trace telemetry: the window count and the
+    per-scale contribution gauges.
     """
-    estimator = ctx.estimator
-    estimated, count, levels = streaming_characterize(
-        estimator, ctx.current_trace(), ctx.spec.threshold
-    )
+    count = probs_row.shape[0]
+    totals = terms_row.sum(axis=1)
+    # JSON object keys are strings; keep them strings from the start so
+    # cached and fresh artifacts compare equal.
+    contributions = {
+        str(lvl): float(totals[lvl - 1]) / count
+        for lvl in range(1, levels + 1)
+    }
     if obs.ENABLED:
-        for lvl, contribution in levels.items():
+        obs.counter_inc(
+            "pipeline_windows_total",
+            count,
+            "characterization windows analyzed",
+        )
+        for lvl, contribution in contributions.items():
             obs.gauge_set(
                 "characterize_level_contribution",
                 contribution,
                 "per-scale voltage-variance contribution of the last trace",
-                level=str(lvl),
+                level=lvl,
             )
     return {
-        "estimated": estimated,
-        "windows": count,
-        # JSON object keys are strings; keep them strings from the start
-        # so cached and fresh artifacts compare equal.
-        "level_contributions": {str(lvl): v for lvl, v in levels.items()},
+        "estimated": float(probs_row.sum()) / count,
+        "windows": int(count),
+        "level_contributions": contributions,
     }
+
+
+@register_stage("characterize", fields=("network", "threshold", "window"))
+def _stage_characterize(ctx: StageContext):
+    """The §4.1 wavelet-variance estimate: the trace as a one-row block.
+
+    The same ``characterize_block`` kernel call the block executor makes
+    over N stacked traces; one pass yields both the below-threshold
+    estimate and the per-level contributions.
+    """
+    estimator = ctx.estimator
+    probs, terms = estimator.characterize_traces(
+        ctx.current_trace()[np.newaxis], ctx.spec.threshold
+    )
+    return characterize_artifact(probs[0], terms[0], estimator.levels)
 
 
 def build_controller(scheme: str, network, spec: JobSpec):

@@ -31,7 +31,12 @@ from ..errors import SpecError
 from ..kernels import ENV_VAR as KERNEL_ENV_VAR
 from ..kernels import KernelConfig
 from . import faults
-from .executor import BatchResult, PipelineExecutor, RetryPolicy
+from .executor import (
+    DEFAULT_MAX_BLOCK,
+    BatchResult,
+    PipelineExecutor,
+    RetryPolicy,
+)
 
 __all__ = ["BatchOptions", "submit"]
 
@@ -88,7 +93,7 @@ class BatchOptions:
     fault_plan: str | None = None
     kernels: KernelConfig | None = None
     block: str = "auto"
-    max_block: int = 32
+    max_block: int = DEFAULT_MAX_BLOCK
 
     def __post_init__(self) -> None:
         if self.retries < 0:

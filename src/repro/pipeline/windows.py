@@ -30,7 +30,6 @@ __all__ = [
     "iter_window_blocks",
     "streaming_fraction_below",
     "streaming_level_contributions",
-    "streaming_characterize",
 ]
 
 #: Default samples per chunk when re-chunking an array-like source.
@@ -81,30 +80,12 @@ def iter_windows(
 ) -> Iterator[np.ndarray]:
     """Non-overlapping ``window``-sized views of a trace, streamed.
 
-    The trailing partial window (fewer than ``window`` samples) is
-    dropped, matching the whole-trace estimators' tiling.
+    The rows of :func:`iter_window_blocks`: the trailing partial window
+    (fewer than ``window`` samples) is dropped, matching the whole-trace
+    estimators' tiling.
     """
-    if window < 1:
-        raise SpecError("window must be at least one sample")
-    carry = np.empty(0)
-    emitted = 0
-    try:
-        for arr in as_chunks(source, chunk=max(chunk, window)):
-            if carry.size:
-                arr = np.concatenate([carry, arr])
-            count = len(arr) // window
-            for k in range(count):
-                yield arr[k * window : (k + 1) * window]
-            emitted += count
-            carry = arr[count * window :]
-    finally:
-        # one batched bump per trace, so streaming costs nothing per window
-        if emitted:
-            obs.counter_inc(
-                "pipeline_windows_total",
-                emitted,
-                "characterization windows streamed",
-            )
+    for block in iter_window_blocks(source, window, chunk):
+        yield from block
 
 
 def iter_window_blocks(
@@ -112,10 +93,9 @@ def iter_window_blocks(
 ) -> Iterator[np.ndarray]:
     """Stream ``(k, window)`` matrices of consecutive full windows.
 
-    The block form of :func:`iter_windows`: each yielded matrix holds
-    every full window of one chunk (so the batched kernels get real
-    work per call), the trailing partial window is dropped, and working
-    memory stays O(chunk).
+    Each yielded matrix holds every full window of one chunk (so the
+    batched kernels get real work per call), the trailing partial window
+    is dropped, and working memory stays O(chunk).
     """
     if window < 1:
         raise SpecError("window must be at least one sample")
@@ -135,7 +115,7 @@ def iter_window_blocks(
             obs.counter_inc(
                 "pipeline_windows_total",
                 emitted,
-                "characterization windows streamed",
+                "characterization windows analyzed",
             )
 
 
@@ -180,34 +160,3 @@ def streaming_level_contributions(estimator, source) -> dict[int, float]:
         for lvl in range(1, estimator.levels + 1)
     }
 
-
-def streaming_characterize(
-    estimator, source, threshold: float
-) -> tuple[float, int, dict[int, float]]:
-    """Both §4.1 trace outputs from one streamed pass over the windows.
-
-    Returns ``(estimate, windows_seen, level_contributions)``.  Each
-    block is decomposed once via ``estimator.characterize_windows``, so
-    the characterize pipeline stage pays for one wavelet pass instead of
-    two.  Per-window results are bit-identical to the separate
-    :func:`streaming_fraction_below` / :func:`streaming_level_contributions`
-    calls (and to the in-memory estimator methods).
-    """
-    prob_blocks: list[np.ndarray] = []
-    term_blocks: list[np.ndarray] = []
-    for block in iter_window_blocks(source, estimator.window):
-        probs, terms = estimator.characterize_windows(block, threshold)
-        prob_blocks.append(probs)
-        term_blocks.append(terms)
-    if not prob_blocks:
-        raise SpecError(
-            f"trace shorter than one {estimator.window}-cycle window"
-        )
-    flat = np.concatenate(prob_blocks)
-    count = len(flat)
-    totals = np.concatenate(term_blocks, axis=1).sum(axis=1)
-    contributions = {
-        lvl: float(totals[lvl - 1]) / count
-        for lvl in range(1, estimator.levels + 1)
-    }
-    return float(flat.sum()) / count, count, contributions

@@ -219,29 +219,20 @@ def test_deprecated_shims_still_work(monkeypatch):
     kernels._PROCESS = None
 
 
-def test_resolve_kernel_reports_fallback(monkeypatch, caplog):
-    """The fallback a dynamic dispatch takes is explicit in the return
-    value, and logged exactly once per (kernel, backend)."""
-    import logging
-
-    name = "_test_fallback_kernel"
+def test_missing_implementation_raises(monkeypatch):
+    """A one-sided registration is an error on every dispatch path."""
+    name = "_test_one_sided_kernel"
     kernels.register_kernel(name, "reference")(lambda: "ref")
     try:
-        monkeypatch.setenv(kernels.ENV_VAR, "batched")
-        kernels._warned_fallbacks.discard((name, "batched"))
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            impl, used = kernels.resolve_kernel(name)
-            assert used == "reference"
-            impl2, used2 = kernels.resolve_kernel(name)
-            assert used2 == "reference"
-        hits = [r for r in caplog.records if name in r.getMessage()]
-        assert len(hits) == 1  # logged once, not per call
-        # explicit backend selection stays strict — no fallback
         with pytest.raises(ValueError, match="no 'batched'"):
             get_kernel(name, backend="batched")
+        monkeypatch.setenv(kernels.ENV_VAR, "batched")
+        with pytest.raises(ValueError, match="no 'batched'"):
+            get_kernel(name)()
+        monkeypatch.setenv(kernels.ENV_VAR, "reference")
+        assert get_kernel(name)() == "ref"
     finally:
         kernels._REGISTRY.pop(name, None)
-        kernels._warned_fallbacks.discard((name, "batched"))
         kernels._dispatcher.cache_clear()
 
 

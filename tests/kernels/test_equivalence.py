@@ -149,6 +149,30 @@ def test_backends_agree(name, n, dtype, monitor, convolver, estimator):
         _assert_close(ref, out)
 
 
+@pytest.mark.parametrize(
+    "n, level",
+    [
+        ((1 << 16) * 3 + 48, None),  # three full blocks and a short one
+        (1 << 18, None),
+        (1 << 18, 2),
+        ((1 << 16) + 16, 0),
+    ],
+)
+def test_blocked_wavedec_matches_one_pass(monkeypatch, n, level):
+    """Cache blocking leaves every coefficient bit-identical."""
+    from repro.kernels import vectorized
+
+    x = _trace(n, np.float64)
+    wavedec = get_kernel("wavedec", backend="vectorized")
+    blocked = wavedec(x, "haar", level)
+    monkeypatch.setattr(vectorized, "_WAVEDEC_BLOCK", n)
+    single = wavedec(x, "haar", level)
+    assert len(blocked) == len(single)
+    for b, s in zip(blocked, single):
+        np.testing.assert_array_equal(b, s)
+    _assert_close(get_kernel("wavedec", backend="reference")(x, "haar", level), blocked)
+
+
 def test_unknown_kernel_and_backend_raise():
     with pytest.raises(ValueError, match="unknown kernel"):
         get_kernel("no_such_kernel")

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.core import calibrated_supply
 from repro.errors import SpecError
 from repro.kernels import KernelConfig
@@ -314,3 +315,100 @@ def test_json_roundtrip_of_block_artifacts(network, tmp_path):
             "windows",
             "level_contributions",
         }
+
+
+# -- one stage step, one characterize path -------------------------------------
+
+
+def _characterize_telemetry(specs, cache_dir, block):
+    obs.enable("summary")
+    try:
+        batch = submit(specs, BatchOptions(cache_dir=cache_dir, block=block))
+        snap = obs.registry().snapshot()
+    finally:
+        obs.disable()
+    assert batch.ok
+    windows = snap.get("pipeline_windows_total", {}).get("series", {})
+    gauges = snap.get("characterize_level_contribution", {}).get("series", {})
+    return windows, gauges
+
+
+def test_block_and_single_jobs_emit_identical_characterize_telemetry(
+    network, tmp_path
+):
+    """Both paths build the artifact in one place, which also emits the
+    window counter and the per-level contribution gauges."""
+    specs = _specs(network, names=("gzip", "mcf", "gcc"), cycles=2048)
+    never = _characterize_telemetry(specs, str(tmp_path / "never"), "never")
+    always = _characterize_telemetry(specs, str(tmp_path / "always"), "always")
+    windows, gauges = never
+    assert sum(windows.values()) == 3 * (2048 // 256)
+    assert len(gauges) == 8  # one per level of a 256-cycle window
+    assert always == never
+
+
+def test_fused_pass_failure_falls_back_to_per_member_stage(
+    network, tmp_path, monkeypatch
+):
+    """A fused pass that raises degrades to the per-trace stage for every
+    member, with artifacts (and cache bytes) equal to per-trace runs."""
+    from repro.core import WaveletVoltageEstimator
+
+    specs = _specs(network, names=("gzip", "mcf", "gcc"), cycles=2048)
+    single = submit(
+        specs, BatchOptions(cache_dir=str(tmp_path / "never"), block="never")
+    )
+    original = WaveletVoltageEstimator.characterize_traces
+    stack_sizes = []
+
+    def one_row_only(self, traces, threshold):
+        stack_sizes.append(len(traces))
+        if len(traces) > 1:
+            raise RuntimeError("fused pass unavailable")
+        return original(self, traces, threshold)
+
+    monkeypatch.setattr(
+        WaveletVoltageEstimator, "characterize_traces", one_row_only
+    )
+    fused = submit(
+        specs, BatchOptions(cache_dir=str(tmp_path / "always"), block="always")
+    )
+    assert stack_sizes == [3, 1, 1, 1]
+    assert all(o.ok for o in fused.outcomes)
+    for a, b in zip(fused.outcomes, single.outcomes):
+        assert a.spec == b.spec
+        for stage in ("voltage", "characterize"):
+            assert a.artifacts[stage] == b.artifacts[stage]
+    assert _tree_digest(str(tmp_path / "always")) == _tree_digest(
+        str(tmp_path / "never")
+    )
+
+
+def test_prefix_failure_reports_identically_in_both_modes(network, tmp_path):
+    """A member failing before characterize reports exactly what the
+    same job reports when run alone."""
+    specs = _specs(network, names=("gzip", "mcf", "gcc"), cycles=2048)
+    reports = {}
+    for block in ("never", "always"):
+        batch = submit(
+            specs,
+            BatchOptions(
+                cache_dir=str(tmp_path / block),
+                block=block,
+                raise_on_error=False,
+                fault_plan="voltage@mcf:raise",
+            ),
+        )
+        by_name = {o.spec.benchmark: o for o in batch.outcomes}
+        mcf = by_name.pop("mcf")
+        assert all(o.ok for o in by_name.values())
+        reports[block] = (
+            mcf.failed_stage,
+            mcf.error_kind,
+            mcf.attempts,
+            mcf.failure()["error"],
+            sorted(mcf.timings),
+            sorted(mcf.cache_hits),
+        )
+    assert reports["never"][0] == "voltage"
+    assert reports["always"] == reports["never"]
